@@ -337,6 +337,26 @@ opsMicroMain(int argc, char **argv)
                   [&] { tensor::conv2d(x, w, b, 1, 1); });
         h.compute("conv3x3_56_seed_ref", "1x64x56x56 k3s1p1", flops,
                   [&] { tensor::conv2dReference(x, w, b, 1, 1); });
+
+        // The same layer's backward: dgrad as W^T g + col2im, wgrad as
+        // im2col(x) g^T, against the seed-era direct loops.
+        Tensor g = Tensor::randn(Shape{1, 64, 56, 56}, rng);
+        h.compute("conv3x3_56_dgrad", "1x64x56x56 k3s1p1", flops, [&] {
+            tensor::conv2dGradInput(g, w, x.shape(), 1, 1);
+        });
+        h.compute("conv3x3_56_dgrad_seed_ref", "1x64x56x56 k3s1p1", flops,
+                  [&] {
+                      tensor::conv2dGradInputReference(g, w, x.shape(), 1,
+                                                       1);
+                  });
+        h.compute("conv3x3_56_wgrad", "1x64x56x56 k3s1p1", flops, [&] {
+            tensor::conv2dGradWeight(g, x, w.shape(), 1, 1);
+        });
+        h.compute("conv3x3_56_wgrad_seed_ref", "1x64x56x56 k3s1p1", flops,
+                  [&] {
+                      tensor::conv2dGradWeightReference(g, x, w.shape(), 1,
+                                                        1);
+                  });
     }
     {
         // 1x1 projection conv (pure-GEMM fast path).
@@ -436,7 +456,8 @@ opsMicroMain(int argc, char **argv)
         Tensor bt = Tensor::zeros(Shape{64});
         Tensor rm = Tensor::zeros(Shape{64});
         Tensor rv = Tensor::ones(Shape{64});
-        h.compute("batchnorm", "8x64x28x28", 4.0 * 8 * 64 * 28 * 28,
+        // Training mode: batch statistics, running stats updated.
+        h.compute("batchnorm_train", "8x64x28x28", 4.0 * 8 * 64 * 28 * 28,
                   [&] {
                       tensor::batchnorm2d(x, g, bt, rm, rv, true, 0.1f,
                                           1e-5f);
@@ -492,6 +513,8 @@ opsMicroMain(int argc, char **argv)
     h.print();
     speedupNote(h, "gemm_1024", "gemm_1024_seed_ref");
     speedupNote(h, "conv3x3_56", "conv3x3_56_seed_ref");
+    speedupNote(h, "conv3x3_56_dgrad", "conv3x3_56_dgrad_seed_ref");
+    speedupNote(h, "conv3x3_56_wgrad", "conv3x3_56_wgrad_seed_ref");
     if (!csv_path.empty() && h.writeCsv(csv_path))
         benchutil::note("csv written to " + csv_path);
     if (!json_path.empty() && h.writeJsonl(json_path))

@@ -76,6 +76,7 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 # start them from clean files so stale records from a previous
 # check.sh run in the same workspace can't fail (or mask) the checks.
 rm -f "$BUILD_DIR"/BENCH_smoke.jsonl "$BUILD_DIR"/BENCH_smoke.csv \
+      "$BUILD_DIR"/BENCH_train.jsonl \
       "$BUILD_DIR"/BENCH_serve.jsonl \
       "$BUILD_DIR"/BENCH_serve_openloop.jsonl \
       "$BUILD_DIR"/BENCH_serve_pipeline.jsonl \
@@ -105,6 +106,28 @@ done
 "$BUILD_DIR/mmbench" run --smoke --quiet \
     --json "$BUILD_DIR/BENCH_smoke.jsonl" \
     --csv "$BUILD_DIR/BENCH_smoke.csv"
+
+# Training leg: the same per-workload smoke sweep in train mode
+# (forward, backward through the conv dgrad/wgrad and GEMM NT/TN
+# kernels, optimizer step) on a real worker pool. Runs before the
+# serve legs so a failing serving gate cannot hide a training
+# regression. Validated below: one record per workload, each in train
+# mode with a finite metric and timed steps.
+MMBENCH_NUM_THREADS=4 "$BUILD_DIR/mmbench" run --smoke --mode train \
+    --quiet --json "$BUILD_DIR/BENCH_train.jsonl"
+
+python3 - "$BUILD_DIR/BENCH_train.jsonl" <<'EOF'
+import json, math, sys
+records = [json.loads(line) for line in open(sys.argv[1])]
+assert len(records) == 9, f"expected 9 train records, got {len(records)}"
+for record in records:
+    assert record["schema"] == "mmbench-result-v1"
+    assert record["spec"]["mode"] == "train", record["name"]
+    assert math.isfinite(record["metric"]["value"]), record["name"]
+    assert record["latency_us"]["count"] > 0, record["name"]
+print(f"train smoke OK: {len(records)} workloads, "
+      f"{sum(r['latency_us']['count'] for r in records)} timed steps")
+EOF
 
 # Serve-mode leg: the same per-workload smoke sweep through the
 # stage-graph serving path (4 concurrent in-flight requests), with

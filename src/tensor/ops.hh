@@ -224,10 +224,17 @@ Tensor expandTo(const Tensor &a, const Shape &target);
  */
 Tensor conv2d(const Tensor &x, const Tensor &w, const Tensor &b,
               int stride, int pad);
-/** Gradient of conv2d w.r.t. its input. */
+/**
+ * Gradient of conv2d w.r.t. its input: per image, W^T g on the blocked
+ * GEMM, then a col2im scatter-add. One Conv-class kernel event.
+ */
 Tensor conv2dGradInput(const Tensor &grad_out, const Tensor &w,
                        const Shape &x_shape, int stride, int pad);
-/** Gradient of conv2d w.r.t. its weight. */
+/**
+ * Gradient of conv2d w.r.t. its weight: per image, im2col(x) g^T on
+ * the blocked GEMM, the partials summed in image order (bitwise equal
+ * for any thread count). One Conv-class kernel event.
+ */
 Tensor conv2dGradWeight(const Tensor &grad_out, const Tensor &x,
                         const Shape &w_shape, int stride, int pad);
 
@@ -392,6 +399,17 @@ Tensor matmulReference(const Tensor &a, const Tensor &b);
 /** Naive single-threaded direct convolution (same contract as conv2d). */
 Tensor conv2dReference(const Tensor &x, const Tensor &w, const Tensor &b,
                        int stride, int pad);
+/**
+ * Seed-era direct-loop conv2d gradients (same contracts as
+ * conv2dGradInput / conv2dGradWeight): the numerical references the
+ * GEMM-lowered kernels are tested against, and the baseline
+ * bench/ops_micro measures their speedups against.
+ */
+Tensor conv2dGradInputReference(const Tensor &grad_out, const Tensor &w,
+                                const Shape &x_shape, int stride, int pad);
+Tensor conv2dGradWeightReference(const Tensor &grad_out, const Tensor &x,
+                                 const Shape &w_shape, int stride,
+                                 int pad);
 /** @} */
 
 } // namespace tensor

@@ -7,6 +7,12 @@
  * keep the direct loop, which also serves as the numerical reference
  * (conv2dReference). Either path is reported as one Conv-class kernel
  * launch, so the trace the simulator consumes is unchanged.
+ *
+ * The backward passes run on the same GEMM: dgrad as W^T g per image
+ * followed by a col2im scatter-add, wgrad as one col g^T partial per
+ * image folded into the weight gradient in image order. The seed-era
+ * direct loops remain as conv2dGradInputReference /
+ * conv2dGradWeightReference for the equivalence tests and ops_micro.
  */
 
 #include "tensor/ops.hh"
@@ -38,6 +44,16 @@ outExtent(int64_t in, int kernel, int stride, int pad)
 
 /** Below this many MACs per image the direct loop beats im2col. */
 constexpr int64_t kDirectConvMacLimit = 1 << 14;
+
+/**
+ * A 1x1/stride-1/no-pad convolution: its im2col matrix is the input
+ * itself, so the lowerings skip im2col (and col2im) entirely.
+ */
+bool
+pointwiseConv(int kh, int kw, int stride, int pad)
+{
+    return kh == 1 && kw == 1 && stride == 1 && pad == 0;
+}
 
 /**
  * Direct-loop convolution of one image: out plane (oc, oh*ow),
@@ -134,9 +150,7 @@ convGemmImage(const float *xb, const float *pw, const float *pb,
 {
     const int64_t kdim = c * kh * kw;
     const int64_t ohw = oh * ow;
-    // 1x1/stride-1/no-pad convolution is a pure GEMM over the input.
-    const bool gemm_direct =
-        (kh == 1 && kw == 1 && stride == 1 && pad == 0);
+    const bool gemm_direct = pointwiseConv(kh, kw, stride, pad);
     if (!gemm_direct)
         im2col(xb, col, c, h, wd, kh, kw, oh, ow, stride, pad);
     const float *cols = gemm_direct ? xb : col;
@@ -156,6 +170,94 @@ convGemmImage(const float *xb, const float *pw, const float *pb,
         detail::gemmBlocked({pw, kdim, 1}, {cols, ohw, 1}, ob, oc, kdim,
                             ohw, &epi);
     }
+}
+
+/**
+ * The adjoint of im2col: scatter-add one image's column gradient onto
+ * its input planes, gx[ci][iy][ix] += col[(ci*kh+ky)*kw+kx][y*ow+xo]
+ * for every tap im2col read from (iy, ix). Parallel over input
+ * channels, so each worker owns disjoint planes; within a plane the
+ * taps add in a fixed (ky, kx, y, xo) order for any thread count.
+ */
+void
+col2im(const float *col, float *xb, int64_t c, int64_t h, int64_t wd,
+       int kh, int kw, int64_t oh, int64_t ow, int stride, int pad)
+{
+    core::parallelFor(0, c, 1, [&](int64_t c0, int64_t c1) {
+        for (int64_t ci = c0; ci < c1; ++ci) {
+            float *xplane = xb + ci * h * wd;
+            for (int ky = 0; ky < kh; ++ky) {
+                for (int kx = 0; kx < kw; ++kx) {
+                    const float *crow =
+                        col + ((ci * kh + ky) * kw + kx) * oh * ow;
+                    // Output columns whose tap lands inside the row.
+                    const int64_t ix0 = kx - pad;
+                    const int64_t x0 =
+                        ix0 >= 0 ? 0 : (stride - 1 - ix0) / stride;
+                    const int64_t x1 =
+                        ix0 >= wd ? 0
+                                  : std::min(ow, (wd - 1 - ix0) / stride + 1);
+                    for (int64_t y = 0; y < oh; ++y) {
+                        const int64_t iy = y * stride - pad + ky;
+                        if (iy < 0 || iy >= h)
+                            continue;
+                        float *xrow = xplane + iy * wd;
+                        const float *src = crow + y * ow;
+                        for (int64_t xo = x0; xo < x1; ++xo)
+                            xrow[xo * stride + ix0] += src[xo];
+                    }
+                }
+            }
+        }
+    });
+}
+
+/**
+ * dgrad of one image: gcol (c*kh*kw x oh*ow) = W^T g_n, with W^T read
+ * through operand strides (no transpose copy), then col2im into the
+ * zeroed gx_n. A 1x1/stride-1/no-pad conv has gcol == gx_n, so the
+ * GEMM accumulates straight into it.
+ */
+void
+convGradInputImage(const float *gb, const float *pw, float *gxb,
+                   float *gcol, int64_t c, int64_t h, int64_t wd,
+                   int64_t oc, int kh, int kw, int64_t oh, int64_t ow,
+                   int stride, int pad)
+{
+    const int64_t kdim = c * kh * kw;
+    const int64_t ohw = oh * ow;
+    const bool gemm_direct = pointwiseConv(kh, kw, stride, pad);
+    float *dst = gemm_direct ? gxb : gcol;
+    if (!gemm_direct) {
+        core::parallelFor(0, kdim, 16, [&](int64_t r0, int64_t r1) {
+            std::fill(gcol + r0 * ohw, gcol + r1 * ohw, 0.0f);
+        });
+    }
+    detail::gemmBlocked({pw, 1, kdim}, {gb, ohw, 1}, dst, kdim, oc, ohw);
+    if (!gemm_direct)
+        col2im(gcol, gxb, c, h, wd, kh, kw, oh, ow, stride, pad);
+}
+
+/**
+ * wgrad partial of one image, stored transposed: part (c*kh*kw x oc) =
+ * col_n g_n^T, where col_n is im2col(x_n) (x_n itself for a
+ * 1x1/stride-1/no-pad conv) and g_n^T is read through strides. The
+ * long pixel axis is the GEMM's k, summed in one ascending pass.
+ */
+void
+convGradWeightImage(const float *gb, const float *xb, float *part,
+                    float *col, int64_t c, int64_t h, int64_t wd,
+                    int64_t oc, int kh, int kw, int64_t oh, int64_t ow,
+                    int stride, int pad)
+{
+    const int64_t kdim = c * kh * kw;
+    const int64_t ohw = oh * ow;
+    const bool gemm_direct = pointwiseConv(kh, kw, stride, pad);
+    if (!gemm_direct)
+        im2col(xb, col, c, h, wd, kh, kw, oh, ow, stride, pad);
+    std::fill(part, part + kdim * oc, 0.0f);
+    detail::gemmBlocked({gemm_direct ? xb : col, ohw, 1}, {gb, 1, ohw},
+                        part, kdim, ohw, oc);
 }
 
 /**
@@ -367,8 +469,7 @@ conv2dActDt(const Tensor &x, const Tensor &w, const Tensor &b, int stride,
     const int64_t ow = outExtent(wd, kw, stride, pad);
     const int64_t kdim = c * kh * kw;
     const int64_t ohw = oh * ow;
-    const bool gemm_direct =
-        (kh == 1 && kw == 1 && stride == 1 && pad == 0);
+    const bool gemm_direct = pointwiseConv(kh, kw, stride, pad);
 
     const DType dt = w.dtype();
     // The i8 path needs both operands quantized (i32 accumulation);
@@ -487,6 +588,107 @@ conv2dActDt(const Tensor &x, const Tensor &w, const Tensor &b, int stride,
 }
 
 Tensor
+conv2dGradInput(const Tensor &grad_out, const Tensor &w,
+                const Shape &x_shape, int stride, int pad)
+{
+    const int64_t n = x_shape[0], c = x_shape[1], h = x_shape[2],
+                  wd = x_shape[3];
+    const int64_t oc = w.size(0);
+    const int kh = static_cast<int>(w.size(2));
+    const int kw = static_cast<int>(w.size(3));
+    const int64_t oh = grad_out.size(2), ow = grad_out.size(3);
+    const bool gemm_direct = pointwiseConv(kh, kw, stride, pad);
+    const size_t col_elems =
+        gemm_direct ? 0 : static_cast<size_t>(c * kh * kw) * oh * ow;
+
+    Tensor gx = Tensor::zeros(x_shape);
+    const float *pg = grad_out.data();
+    const float *pw = w.data();
+    float *px = gx.data();
+
+    // Each image owns a disjoint gx slab. With at least as many images
+    // as threads they run in parallel; otherwise one inline chunk (a
+    // grain of n) runs them in turn, parallel inside the GEMM and
+    // col2im.
+    const int64_t grain = n >= core::numThreads() ? 1 : n;
+    core::parallelFor(0, n, grain, [&](int64_t n0, int64_t n1) {
+        std::vector<float> gcol(col_elems);
+        for (int64_t ni = n0; ni < n1; ++ni)
+            convGradInputImage(pg + ni * oc * oh * ow, pw,
+                               px + ni * c * h * wd, gcol.data(), c, h, wd,
+                               oc, kh, kw, oh, ow, stride, pad);
+    });
+
+    const uint64_t flops = 2ULL * static_cast<uint64_t>(n * oc * oh * ow) *
+                           static_cast<uint64_t>(c * kh * kw);
+    trace::emitKernel(trace::KernelClass::Conv, "conv2d_dgrad", flops,
+                      grad_out.bytes() + w.bytes(), gx.bytes());
+    return gx;
+}
+
+Tensor
+conv2dGradWeight(const Tensor &grad_out, const Tensor &x,
+                 const Shape &w_shape, int stride, int pad)
+{
+    const int64_t n = x.size(0), c = x.size(1), h = x.size(2),
+                  wd = x.size(3);
+    const int64_t oc = w_shape[0];
+    const int kh = static_cast<int>(w_shape[2]);
+    const int kw = static_cast<int>(w_shape[3]);
+    const int64_t oh = grad_out.size(2), ow = grad_out.size(3);
+    const int64_t kdim = c * kh * kw;
+    const int64_t ohw = oh * ow;
+
+    Tensor gw = Tensor::zeros(w_shape);
+    const float *pg = grad_out.data();
+    const float *px = x.data();
+    float *pw = gw.data();
+
+    // Images run in groups: one image per worker when there are enough
+    // images, otherwise one at a time (a one-index range runs inline),
+    // parallel inside im2col and the GEMM. Each image's GEMM writes its
+    // own partial; the partials then fold into gw in image order, so
+    // every weight sums its images in the same order for any thread
+    // count, and scratch stays at one partial per thread.
+    const int64_t group = n >= core::numThreads() ? core::numThreads() : 1;
+    const bool gemm_direct = pointwiseConv(kh, kw, stride, pad);
+    std::vector<float> cols(
+        gemm_direct ? 0 : static_cast<size_t>(group * kdim * ohw));
+    std::vector<float> parts(static_cast<size_t>(group * kdim * oc));
+    for (int64_t g0 = 0; g0 < n; g0 += group) {
+        const int64_t g1 = std::min(n, g0 + group);
+        core::parallelFor(g0, g1, 1, [&](int64_t n0, int64_t n1) {
+            for (int64_t ni = n0; ni < n1; ++ni) {
+                const int64_t slot = ni - g0;
+                float *col = gemm_direct ? nullptr
+                                         : cols.data() + slot * kdim * ohw;
+                convGradWeightImage(pg + ni * oc * ohw,
+                                    px + ni * c * h * wd,
+                                    parts.data() + slot * kdim * oc, col, c,
+                                    h, wd, oc, kh, kw, oh, ow, stride, pad);
+            }
+        });
+        core::parallelFor(0, oc, 1, [&](int64_t o0, int64_t o1) {
+            for (int64_t o = o0; o < o1; ++o) {
+                float *wrow = pw + o * kdim;
+                for (int64_t r = 0; r < kdim; ++r) {
+                    float acc = wrow[r];
+                    for (int64_t s = 0; s < g1 - g0; ++s)
+                        acc += parts[(s * kdim + r) * oc + o];
+                    wrow[r] = acc;
+                }
+            }
+        });
+    }
+
+    const uint64_t flops = 2ULL * static_cast<uint64_t>(n * oc * oh * ow) *
+                           static_cast<uint64_t>(c * kh * kw);
+    trace::emitKernel(trace::KernelClass::Conv, "conv2d_wgrad", flops,
+                      grad_out.bytes() + x.bytes(), gw.bytes());
+    return gw;
+}
+
+Tensor
 conv2dReference(const Tensor &x, const Tensor &w, const Tensor &b,
                 int stride, int pad)
 {
@@ -513,8 +715,8 @@ conv2dReference(const Tensor &x, const Tensor &w, const Tensor &b,
 }
 
 Tensor
-conv2dGradInput(const Tensor &grad_out, const Tensor &w,
-                const Shape &x_shape, int stride, int pad)
+conv2dGradInputReference(const Tensor &grad_out, const Tensor &w,
+                         const Shape &x_shape, int stride, int pad)
 {
     const int64_t n = x_shape[0], c = x_shape[1], h = x_shape[2],
                   wd = x_shape[3];
@@ -562,17 +764,12 @@ conv2dGradInput(const Tensor &grad_out, const Tensor &w,
         }
     }
     });
-
-    const uint64_t flops = 2ULL * static_cast<uint64_t>(n * oc * oh * ow) *
-                           static_cast<uint64_t>(c * kh * kw);
-    trace::emitKernel(trace::KernelClass::Conv, "conv2d_dgrad", flops,
-                      grad_out.bytes() + w.bytes(), gx.bytes());
     return gx;
 }
 
 Tensor
-conv2dGradWeight(const Tensor &grad_out, const Tensor &x,
-                 const Shape &w_shape, int stride, int pad)
+conv2dGradWeightReference(const Tensor &grad_out, const Tensor &x,
+                          const Shape &w_shape, int stride, int pad)
 {
     const int64_t n = x.size(0), c = x.size(1), h = x.size(2),
                   wd = x.size(3);
@@ -621,11 +818,6 @@ conv2dGradWeight(const Tensor &grad_out, const Tensor &x,
         }
     }
     });
-
-    const uint64_t flops = 2ULL * static_cast<uint64_t>(n * oc * oh * ow) *
-                           static_cast<uint64_t>(c * kh * kw);
-    trace::emitKernel(trace::KernelClass::Conv, "conv2d_wgrad", flops,
-                      grad_out.bytes() + x.bytes(), gw.bytes());
     return gw;
 }
 

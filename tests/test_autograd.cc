@@ -10,11 +10,13 @@
 
 #include <cmath>
 #include <functional>
+#include <vector>
 
 #include "autograd/loss.hh"
 #include "autograd/ops.hh"
 #include "autograd/optim.hh"
 #include "autograd/var.hh"
+#include "core/parallel.hh"
 
 namespace mmbench {
 namespace autograd {
@@ -348,6 +350,40 @@ TEST(ConvGrad, FullStack)
     }, 1e-2f, 0.08f);
     // Bias grad: each output position contributes 1.
     EXPECT_NEAR(b.grad().at(0), 2.0f * 6 * 6, 1e-2f);
+}
+
+/**
+ * Parameter grads of a conv -> BN -> ReLU -> conv net after backward()
+ * at the given thread count: the conv dgrad/wgrad kernels as autograd
+ * chains them, with BN's batch statistics in between.
+ */
+std::vector<Tensor>
+convNetGrads(int threads)
+{
+    core::ScopedNumThreads guard(threads);
+    Rng rng(16);
+    Tensor x0 = Tensor::randn(Shape{8, 3, 12, 10}, rng);
+    Var w1(Tensor::randn(Shape{8, 3, 3, 3}, rng, 0.5f), true);
+    Var b1(Tensor::randn(Shape{8}, rng), true);
+    Var gm(Tensor::ones(Shape{8}), true), bt(Tensor::zeros(Shape{8}), true);
+    Var w2(Tensor::randn(Shape{6, 8, 3, 3}, rng, 0.5f), true);
+    Tensor rm = Tensor::zeros(Shape{8});
+    Tensor rv = Tensor::ones(Shape{8});
+    Var h = relu(batchnorm2d(conv2d(Var(x0), w1, b1, 1, 1), gm, bt, rm, rv,
+                             true));
+    Var y = conv2d(h, w2, Var(), 2, 1);
+    backward(sumAll(mul(y, Var(Tensor::randn(y.value().shape(), rng)))));
+    return {w1.grad(), b1.grad(), gm.grad(), bt.grad(), w2.grad()};
+}
+
+TEST(ConvGrad, ParamGradsBitwiseAcrossThreadCounts)
+{
+    const std::vector<Tensor> serial = convNetGrads(1);
+    const std::vector<Tensor> parallel = convNetGrads(4);
+    ASSERT_EQ(serial.size(), parallel.size());
+    for (size_t i = 0; i < serial.size(); ++i)
+        EXPECT_EQ(serial[i].toVector(), parallel[i].toVector())
+            << "param " << i;
 }
 
 TEST(PoolGrad, MaxAndAvg)

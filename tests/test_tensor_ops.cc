@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/parallel.hh"
@@ -478,48 +479,63 @@ TEST(Conv, MultiChannelAccumulates)
     EXPECT_EQ(y.at(0), 3.0f);
 }
 
+// The finite-difference checks use loss = sum(g * y) with a random g:
+// an all-ones g would not catch a gradient scattered to the wrong
+// pixel or a swapped operand, since every output then weighs the same.
+
 TEST(Conv, GradInputMatchesFiniteDifference)
 {
-    Rng rng(11);
-    Tensor x = Tensor::randn(Shape{1, 2, 5, 5}, rng);
-    Tensor w = Tensor::randn(Shape{3, 2, 3, 3}, rng);
-    Tensor y = conv2d(x, w, Tensor(), 1, 1);
-    // Loss = sum(y); dL/dx via analytic path with grad_out = 1.
-    Tensor gout = Tensor::ones(y.shape());
-    Tensor gx = conv2dGradInput(gout, w, x.shape(), 1, 1);
+    const struct { int s, p; } cases[] = {{1, 1}, {2, 1}};
+    for (const auto &cs : cases) {
+        Rng rng(11);
+        Tensor x = Tensor::randn(Shape{1, 2, 5, 5}, rng);
+        Tensor w = Tensor::randn(Shape{3, 2, 3, 3}, rng);
+        Tensor y = conv2d(x, w, Tensor(), cs.s, cs.p);
+        Tensor gout = Tensor::randn(y.shape(), rng);
+        Tensor gx = conv2dGradInput(gout, w, x.shape(), cs.s, cs.p);
+        const auto loss = [&](const Tensor &xt) {
+            return sumAll(mul(gout, conv2d(xt, w, Tensor(), cs.s, cs.p)))
+                .item();
+        };
 
-    const float eps = 1e-2f;
-    for (int64_t probe : {0L, 12L, 24L, 49L}) {
-        Tensor xp = x.clone();
-        xp.at(probe) += eps;
-        Tensor xm = x.clone();
-        xm.at(probe) -= eps;
-        float fd = (sumAll(conv2d(xp, w, Tensor(), 1, 1)).item() -
-                    sumAll(conv2d(xm, w, Tensor(), 1, 1)).item()) /
-                   (2 * eps);
-        EXPECT_NEAR(gx.at(probe), fd, 0.05f);
+        const float eps = 1e-2f;
+        for (int64_t probe : {0L, 6L, 12L, 18L, 24L, 37L, 49L}) {
+            Tensor xp = x.clone();
+            xp.at(probe) += eps;
+            Tensor xm = x.clone();
+            xm.at(probe) -= eps;
+            const float fd = (loss(xp) - loss(xm)) / (2 * eps);
+            EXPECT_NEAR(gx.at(probe), fd, 0.05f)
+                << "s=" << cs.s << " p=" << cs.p << " probe " << probe;
+        }
     }
 }
 
 TEST(Conv, GradWeightMatchesFiniteDifference)
 {
-    Rng rng(12);
-    Tensor x = Tensor::randn(Shape{2, 1, 4, 4}, rng);
-    Tensor w = Tensor::randn(Shape{2, 1, 3, 3}, rng);
-    Tensor y = conv2d(x, w, Tensor(), 1, 0);
-    Tensor gout = Tensor::ones(y.shape());
-    Tensor gw = conv2dGradWeight(gout, x, w.shape(), 1, 0);
+    const struct { int s, p; } cases[] = {{1, 0}, {2, 1}};
+    for (const auto &cs : cases) {
+        Rng rng(12);
+        Tensor x = Tensor::randn(Shape{2, 2, 5, 4}, rng);
+        Tensor w = Tensor::randn(Shape{2, 2, 3, 3}, rng);
+        Tensor y = conv2d(x, w, Tensor(), cs.s, cs.p);
+        Tensor gout = Tensor::randn(y.shape(), rng);
+        Tensor gw = conv2dGradWeight(gout, x, w.shape(), cs.s, cs.p);
+        const auto loss = [&](const Tensor &wt) {
+            return sumAll(mul(gout, conv2d(x, wt, Tensor(), cs.s, cs.p)))
+                .item();
+        };
 
-    const float eps = 1e-2f;
-    for (int64_t probe : {0L, 5L, 17L}) {
-        Tensor wp = w.clone();
-        wp.at(probe) += eps;
-        Tensor wm = w.clone();
-        wm.at(probe) -= eps;
-        float fd = (sumAll(conv2d(x, wp, Tensor(), 1, 0)).item() -
-                    sumAll(conv2d(x, wm, Tensor(), 1, 0)).item()) /
-                   (2 * eps);
-        EXPECT_NEAR(gw.at(probe), fd, 0.05f);
+        const float eps = 1e-2f;
+        for (int64_t probe : {0L, 5L, 13L, 17L, 22L, 35L}) {
+            Tensor wp = w.clone();
+            wp.at(probe) += eps;
+            Tensor wm = w.clone();
+            wm.at(probe) -= eps;
+            const float fd = (loss(wp) - loss(wm)) / (2 * eps);
+            EXPECT_NEAR(gw.at(probe), fd, 0.05f)
+                << "s=" << cs.s << " p=" << cs.p << " probe " << probe;
+        }
     }
 }
 
@@ -775,6 +791,48 @@ TEST(Conv, Im2colMatchesDirectOddShapes)
     }
 }
 
+/** max |a - b| relative to max |ref| (1 when ref is all zeros). */
+float
+relErr(const Tensor &a, const Tensor &ref)
+{
+    const float scale = maxAbsDiff(ref, Tensor::zeros(ref.shape()));
+    return maxAbsDiff(a, ref) / std::max(scale, 1.0f);
+}
+
+TEST(Conv, GradKernelsMatchReference)
+{
+    Rng rng(26);
+    const struct { int64_t c, h, w, oc; int k, s, p; } shapes[] = {
+        {5, 11, 9, 7, 3, 1, 1},     // 3x3 same-pad
+        {5, 11, 9, 7, 3, 1, 0},     // 3x3 valid
+        {6, 13, 10, 4, 3, 2, 1},    // 3x3 stride 2, pad 1
+        {6, 13, 10, 4, 3, 2, 0},    // 3x3 stride 2, no pad
+        {8, 7, 12, 12, 1, 1, 0},    // 1x1 stride 1: GEMM-direct path
+        {8, 9, 12, 16, 1, 2, 0},    // 1x1 stride 2: projection shortcut
+        {16, 14, 15, 24, 3, 1, 1},  // large enough for the packed GEMM
+    };
+    for (const int64_t n : {1L, 3L, 8L}) {
+        for (const auto &s : shapes) {
+            Tensor x = Tensor::randn(Shape{n, s.c, s.h, s.w}, rng);
+            Tensor w = Tensor::randn(Shape{s.oc, s.c, s.k, s.k}, rng);
+            Tensor y = conv2d(x, w, Tensor(), s.s, s.p);
+            Tensor g = Tensor::randn(y.shape(), rng);
+            EXPECT_LE(relErr(conv2dGradInput(g, w, x.shape(), s.s, s.p),
+                             conv2dGradInputReference(g, w, x.shape(), s.s,
+                                                      s.p)),
+                      1e-5f)
+                << "dgrad n=" << n << " c=" << s.c << " k=" << s.k
+                << " s=" << s.s << " p=" << s.p;
+            EXPECT_LE(relErr(conv2dGradWeight(g, x, w.shape(), s.s, s.p),
+                             conv2dGradWeightReference(g, x, w.shape(),
+                                                       s.s, s.p)),
+                      1e-5f)
+                << "wgrad n=" << n << " c=" << s.c << " k=" << s.k
+                << " s=" << s.s << " p=" << s.p;
+        }
+    }
+}
+
 // ------------------------------------------------------------------
 // Results must be bitwise identical for any thread count (the trace /
 // sim layers and the paper figures depend on runs being reproducible).
@@ -788,8 +846,15 @@ TEST(Parallel, KernelsDeterministicAcrossThreadCounts)
     Tensor w = Tensor::randn(Shape{12, 9, 3, 3}, rng);
     Tensor gamma = Tensor::ones(Shape{129});
     Tensor beta = Tensor::zeros(Shape{129});
+    // Conv gradients at batch 1 (parallel inside the GEMM and col2im at
+    // 4 threads) and batch 8 (parallel over images).
+    Tensor x8 = Tensor::randn(Shape{8, 9, 21, 21}, rng);
+    Tensor g1 = Tensor::randn(Shape{1, 12, 21, 21}, rng);
+    Tensor g8 = Tensor::randn(Shape{8, 12, 21, 21}, rng);
+    Tensor x1 = narrow(x8, 0, 0, 1);
 
     Tensor mm1, conv1, ln1, sm1, add1;
+    Tensor dgrad1[2], wgrad1[2];
     {
         core::ScopedNumThreads serial(1);
         mm1 = matmul(a, b);
@@ -797,11 +862,27 @@ TEST(Parallel, KernelsDeterministicAcrossThreadCounts)
         ln1 = layernorm(a, gamma, beta, 1e-5f);
         sm1 = softmaxLast(a);
         add1 = add(a, a);
+        dgrad1[0] = conv2dGradInput(g1, w, x1.shape(), 1, 1);
+        dgrad1[1] = conv2dGradInput(g8, w, x8.shape(), 1, 1);
+        wgrad1[0] = conv2dGradWeight(g1, x1, w.shape(), 1, 1);
+        wgrad1[1] = conv2dGradWeight(g8, x8, w.shape(), 1, 1);
     }
     {
         core::ScopedNumThreads parallel(4);
         EXPECT_EQ(maxAbsDiff(matmul(a, b), mm1), 0.0f);
         EXPECT_EQ(maxAbsDiff(conv2d(x, w, Tensor(), 1, 1), conv1), 0.0f);
+        EXPECT_EQ(maxAbsDiff(conv2dGradInput(g1, w, x1.shape(), 1, 1),
+                             dgrad1[0]),
+                  0.0f);
+        EXPECT_EQ(maxAbsDiff(conv2dGradInput(g8, w, x8.shape(), 1, 1),
+                             dgrad1[1]),
+                  0.0f);
+        EXPECT_EQ(maxAbsDiff(conv2dGradWeight(g1, x1, w.shape(), 1, 1),
+                             wgrad1[0]),
+                  0.0f);
+        EXPECT_EQ(maxAbsDiff(conv2dGradWeight(g8, x8, w.shape(), 1, 1),
+                             wgrad1[1]),
+                  0.0f);
         EXPECT_EQ(maxAbsDiff(layernorm(a, gamma, beta, 1e-5f), ln1),
                   0.0f);
         EXPECT_EQ(maxAbsDiff(softmaxLast(a), sm1), 0.0f);
